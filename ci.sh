@@ -15,6 +15,14 @@ cargo build --release --examples
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark builds and passes its own tests against the crates' public API"
+# perfbench/ is a separate Cargo workspace with path dependencies on
+# crates/, so neither the workspace build nor `cargo test` compiles it; an
+# API change that breaks it would otherwise surface only as a benchmark
+# run that prints no result. Same target directory as perfbench/run.sh.
+CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=target cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> determinism suite with the bitset miner"
 CUISINE_MINER=eclat-bitset cargo test -q -p cuisine-core --test determinism
 

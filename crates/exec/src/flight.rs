@@ -13,7 +13,10 @@
 //! * **waiters** either block ([`Flight::wait_timeout`]) or poll
 //!   ([`Flight::try_get`]) — the polling form is what a non-blocking
 //!   connection shard needs: it must keep serving its other connections
-//!   while one of them waits for a result.
+//!   while one of them waits for a result. A polling waiter registers its
+//!   thread's [`Waker`] with [`Flight::wake_on_complete`] so it can sleep
+//!   in [`readiness::wait`](crate::readiness::wait) instead of re-polling
+//!   on a timer: the completion wakes every registered waker once.
 //!
 //! The value is `Clone` because one result fans out to every waiter. In
 //! the serving layer the payload is an `Arc`-bodied response, so a clone
@@ -23,6 +26,7 @@ use std::sync::Condvar;
 use std::time::Duration;
 
 use crate::lockorder::{self, OrderedMutex};
+use crate::readiness::Waker;
 
 /// A write-once cell: one completion, any number of waiters.
 ///
@@ -33,14 +37,26 @@ use crate::lockorder::{self, OrderedMutex};
 /// the declared lock order in debug builds.
 #[derive(Debug)]
 pub struct Flight<T> {
-    slot: OrderedMutex<Option<T>>,
+    slot: OrderedMutex<Slot<T>>,
     ready: Condvar,
+}
+
+/// The published value and, until it exists, the wakers to ring when it
+/// does. One lock covers both, so a registration either sees the value or
+/// is rung by the completion — never neither.
+#[derive(Debug)]
+struct Slot<T> {
+    value: Option<T>,
+    wakers: Vec<Waker>,
 }
 
 impl<T> Default for Flight<T> {
     fn default() -> Self {
         Flight {
-            slot: OrderedMutex::new(lockorder::EXEC_FLIGHT_SLOT, None),
+            slot: OrderedMutex::new(
+                lockorder::EXEC_FLIGHT_SLOT,
+                Slot { value: None, wakers: Vec::new() },
+            ),
             ready: Condvar::new(),
         }
     }
@@ -52,31 +68,47 @@ impl<T: Clone> Flight<T> {
         Flight::default()
     }
 
-    /// Publish the result and wake every waiter.
+    /// Publish the result and wake every waiter: blocked ones through the
+    /// condvar, polling ones through their registered [`Waker`]s (rung
+    /// after the lock is released).
     ///
     /// The first completion wins; later calls are ignored, so a duplicate
     /// completion (e.g. a shed path racing the computation) cannot swap
     /// the value out from under a waiter that already observed it.
     pub fn complete(&self, value: T) {
         let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(value);
+        if slot.value.is_none() {
+            slot.value = Some(value);
         }
+        let wakers = std::mem::take(&mut slot.wakers);
         drop(slot);
         self.ready.notify_all();
+        for waker in wakers {
+            waker.wake();
+        }
+    }
+
+    /// Ring `waker` when the value is published. Registers nothing when it
+    /// already is: the caller's next [`Flight::try_get`] sees it.
+    /// Registering the same waker twice is a no-op.
+    pub fn wake_on_complete(&self, waker: &Waker) {
+        let mut slot = self.slot.lock();
+        if slot.value.is_none() && !slot.wakers.iter().any(|w| w.same(waker)) {
+            slot.wakers.push(waker.clone());
+        }
     }
 
     /// Non-blocking poll: the published value, if any.
     pub fn try_get(&self) -> Option<T> {
-        self.slot.lock().clone()
+        self.slot.lock().value.clone()
     }
 
     /// Block until the value is published or `timeout` elapses.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<T> {
         let guard = self.slot.lock();
         let (guard, _timed_out) =
-            guard.wait_timeout_while(&self.ready, timeout, |slot| slot.is_none());
-        guard.clone()
+            guard.wait_timeout_while(&self.ready, timeout, |slot| slot.value.is_none());
+        guard.value.clone()
     }
 }
 
@@ -121,6 +153,28 @@ mod tests {
         for waiter in waiters {
             assert_eq!(waiter.join().unwrap(), Some(42));
         }
+    }
+
+    #[test]
+    fn completion_rings_each_registered_waker_once() {
+        use crate::readiness::{wait, Waker};
+        let flight = Flight::new();
+        let (a, b) = (Waker::new().unwrap(), Waker::new().unwrap());
+        flight.wake_on_complete(&a);
+        flight.wake_on_complete(&a.clone());
+        flight.wake_on_complete(&b);
+        let mut set = [a.poll_fd(), b.poll_fd()];
+        assert_eq!(wait(&mut set, Some(Duration::ZERO)).unwrap(), 0);
+        flight.complete(5u8);
+        assert_eq!(wait(&mut set, Some(Duration::ZERO)).unwrap(), 2);
+        // Completion rang each waker; draining clears it.
+        a.drain();
+        let mut set = [a.poll_fd()];
+        assert_eq!(wait(&mut set, Some(Duration::ZERO)).unwrap(), 0);
+        // Too late to register: nothing rings, the value is there to read.
+        flight.wake_on_complete(&a);
+        assert_eq!(wait(&mut set, Some(Duration::ZERO)).unwrap(), 0);
+        assert_eq!(flight.try_get(), Some(5));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! | `D3` | all RNG construction flows through seeded constructors |
 //! | `P1` | no unwrap/expect/panic!/indexing in the serve request path |
 //! | `X1` | thread spawning only inside `cuisine-exec` |
+//! | `U1` | `unsafe` only in `crates/exec/src/readiness.rs` (the `poll(2)` shim) |
 //! | `C1` | lock acquisitions strictly ascend the declared `[lockorder]` table |
 //! | `C2` | no blocking call (wait/recv/sleep/IO/execute) while a tracked guard is live |
 //! | `C3` | no tracked guard moved into a closure/spawned callback or across `catch_unwind` |

@@ -1,4 +1,4 @@
-//! The rule engine: one trait, eight project-contract rules, and the
+//! The rule engine: one trait, nine project-contract rules, and the
 //! shared token-pattern helpers they build on.
 //!
 //! | rule | contract |
@@ -8,6 +8,7 @@
 //! | [`D3`](d3_rng) | all RNG construction flows through seeded constructors |
 //! | [`P1`](p1_no_panic) | no panic-capable operation in the serve request path |
 //! | [`X1`](x1_threads) | thread spawning only inside `cuisine-exec` |
+//! | [`U1`](u1_unsafe) | `unsafe` only in the audited `poll(2)` shim |
 //! | [`C1`](c1_lock_order) | lock acquisitions strictly ascend the declared `[lockorder]` table |
 //! | [`C2`](c2_blocking_under_guard) | no blocking call while a tracked guard is live |
 //! | [`C3`](c3_guard_escape) | no tracked guard moved into a closure/callback or across `catch_unwind` |
@@ -29,6 +30,7 @@ pub mod d2_wall_clock;
 pub mod d3_rng;
 pub mod guards;
 pub mod p1_no_panic;
+pub mod u1_unsafe;
 pub mod x1_threads;
 
 use crate::baseline::LockOrder;
@@ -61,6 +63,7 @@ pub fn all_rules(order: &LockOrder) -> Vec<Box<dyn Rule>> {
         Box::new(d3_rng::UnseededRng),
         Box::new(p1_no_panic::NoPanic),
         Box::new(x1_threads::ExecOnlyThreads),
+        Box::new(u1_unsafe::UnsafeConfined),
         Box::new(c1_lock_order::LockOrderRule::new(order)),
         Box::new(c2_blocking_under_guard::BlockingUnderGuard::new(order)),
         Box::new(c3_guard_escape::GuardEscape::new(order)),

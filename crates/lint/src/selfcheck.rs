@@ -99,6 +99,45 @@ const FIXTURES: &[Fixture] = &[
         expect_rule: None,
     },
     Fixture {
+        name: "U1 catches an unsafe block outside the readiness shim",
+        rel_path: "crates/serve/src/fixture.rs",
+        source: "fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
+        expect_rule: Some("U1"),
+    },
+    Fixture {
+        name: "U1 catches unsafe in test code of another exec file",
+        rel_path: "crates/exec/src/fixture.rs",
+        source: "#[cfg(test)]\nmod tests { unsafe fn f() {} }\n",
+        expect_rule: Some("U1"),
+    },
+    Fixture {
+        name: "U1 catches an unsafe block in the readiness shim with no SAFETY comment",
+        rel_path: "crates/exec/src/readiness.rs",
+        source: "extern \"C\" { fn poll(); }\n\
+                 fn f() {\n\
+                 \x20   // Calls poll.\n\
+                 \x20   unsafe { poll() }\n}\n",
+        expect_rule: Some("U1"),
+    },
+    Fixture {
+        name: "U1 ignores an unsafe block in the readiness shim under its SAFETY comment",
+        rel_path: "crates/exec/src/readiness.rs",
+        source: "extern \"C\" { fn poll(); }\n\
+                 fn f() {\n\
+                 \x20   // SAFETY: `poll` here has no preconditions\n\
+                 \x20   // and keeps no pointer.\n\
+                 \x20   unsafe { poll() }\n}\n",
+        expect_rule: None,
+    },
+    Fixture {
+        name: "U1 ignores the word in comments, strings and lint names",
+        rel_path: "crates/serve/src/fixture.rs",
+        source: "#![forbid(unsafe_code)]\n\
+                 // no unsafe here\n\
+                 fn f() -> &'static str { \"unsafe\" }\n",
+        expect_rule: None,
+    },
+    Fixture {
         name: "C1 catches a lock inversion against the declared order",
         rel_path: "crates/serve/src/fixture.rs",
         source: "fn f(s: &S) {\n\

@@ -256,6 +256,49 @@ fn x1_exempts_the_exec_crate_and_tests() {
     assert!(fired("crates/mining/tests/x.rs", spawn).is_empty());
 }
 
+// --- U1: unsafe confined to the readiness shim ------------------------
+
+#[test]
+fn u1_flags_unsafe_everywhere_outside_the_shim_test_code_included() {
+    let block = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
+    for file in [
+        "crates/serve/src/server.rs",
+        "crates/exec/src/pool.rs",
+        "crates/mining/src/bin/x.rs",
+        "crates/serve/tests/x.rs",
+        "tests/determinism.rs",
+        "examples/x.rs",
+    ] {
+        assert_eq!(fired(file, block), vec!["U1"], "{file}");
+    }
+    let in_test = "#[cfg(test)]\nmod tests {\n    unsafe fn f() {}\n}";
+    assert_eq!(fired("crates/analytics/src/x.rs", in_test), vec!["U1"]);
+    let unsafe_impl = "struct S; unsafe impl Send for S {}";
+    assert_eq!(fired("crates/core/src/x.rs", unsafe_impl), vec!["U1"]);
+}
+
+#[test]
+fn u1_requires_a_safety_comment_inside_the_shim() {
+    let home = "crates/exec/src/readiness.rs";
+    let argued = "fn f() {\n    // SAFETY: no preconditions;\n    // nothing is retained.\n    \
+                  unsafe { g() }\n}";
+    assert!(fired(home, argued).is_empty());
+    let bare = "fn f() {\n    unsafe { g() }\n}";
+    assert_eq!(fired(home, bare), vec!["U1"]);
+    // The argument must sit directly above: code in between breaks it.
+    let detached = "// SAFETY: stale.\nfn f() {\n    unsafe { g() }\n}";
+    assert_eq!(fired(home, detached), vec!["U1"]);
+}
+
+#[test]
+fn u1_ignores_comments_strings_lint_names_and_other_workspaces() {
+    let clean = "#![forbid(unsafe_code)]\n// no unsafe here\n\
+                 fn f() -> &'static str { \"unsafe\" }";
+    assert!(fired("crates/serve/src/lib.rs", clean).is_empty());
+    let block = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
+    assert!(fired("perfbench/src/host.rs", block).is_empty(), "separate Cargo workspace");
+}
+
 // --- Cross-cutting: diagnostics carry usable spans ---------------------
 
 #[test]

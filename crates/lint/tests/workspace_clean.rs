@@ -85,3 +85,28 @@ fn lint_runs_are_deterministic() {
     };
     assert_eq!(render(&root), render(&root));
 }
+
+#[test]
+fn unsafe_lives_only_in_the_readiness_shim() {
+    // U1 runs in the clean-lint test above; this pins that the rule sees
+    // the shim's real `unsafe` (so it is live, not vacuous) and that no
+    // baseline entry waives it anywhere.
+    let root = workspace_root();
+    let baseline = Baseline::load(&root.join("lint.toml")).expect("baseline parses");
+    assert!(
+        baseline.entries.iter().all(|entry| entry.rule != "U1"),
+        "U1 takes no baseline entries: move the code into the readiness shim"
+    );
+    let shim = root.join(cuisine_lint::rules::u1_unsafe::UNSAFE_HOME);
+    let text = std::fs::read_to_string(&shim).expect("readiness shim exists");
+    assert!(text.contains("unsafe {"), "the shim holds the workspace's one unsafe block");
+    let stripped = text.replace("// SAFETY:", "// Note:");
+    let flagged = cuisine_lint::workspace::lint_source(
+        cuisine_lint::rules::u1_unsafe::UNSAFE_HOME,
+        &stripped,
+    );
+    assert!(
+        flagged.iter().any(|d| d.rule == "U1"),
+        "an unsafe block without its SAFETY comment must fail U1"
+    );
+}

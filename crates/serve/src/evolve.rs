@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use cuisine_core::Experiment;
 use cuisine_exec::lockorder::{self, OrderedMutex};
-use cuisine_exec::{panic_message, Flight, PoolFull, WorkerPool};
+use cuisine_exec::{panic_message, Flight, PoolFull, Waker, WorkerPool};
 use cuisine_data::CuisineId;
 use cuisine_evolution::{
     evaluate_model_on_cuisine, CuisineSetup, EnsembleConfig, EvaluationConfig, ModelKind,
@@ -337,6 +337,15 @@ struct EvolveJob {
 /// entry, so at every instant an identical request finds either the cached
 /// result or a flight to attach to — never a gap that would duplicate the
 /// computation.
+///
+/// Wake-ups: a caller that polls its flight instead of blocking on it
+/// passes its thread's [`Waker`] to [`EvolveEngine::submit`]. A coalescing
+/// waiter registers it on the existing flight under the in-flight lock, a
+/// leader on its new flight before the job is queued, so the registration
+/// always precedes the completion or finds the value already published.
+/// Every path that ends a flight — computed, panicked (caught as a `500`)
+/// or shed (`503`) — goes through [`Flight::complete`], which rings each
+/// registered waker once.
 pub struct EvolveEngine {
     shared: Arc<EngineShared>,
     pool: WorkerPool<EvolveJob>,
@@ -381,8 +390,10 @@ impl EvolveEngine {
     }
 
     /// Submit a validated, corpus-bound task; see the type docs for the
-    /// protocol.
-    pub fn submit(&self, task: EvolveTask) -> Submitted {
+    /// protocol. On [`Submitted::Wait`], `waker` is rung once the flight
+    /// completes — or the flight was already complete, and its
+    /// [`Flight::try_get`] has the value.
+    pub fn submit(&self, task: EvolveTask, waker: &Waker) -> Submitted {
         let state = &self.shared.state;
         let key = task.cache_key();
         if let Some(hit) = cache_lookup(state, &key) {
@@ -392,6 +403,7 @@ impl EvolveEngine {
             let mut inflight = self.shared.inflight.lock();
             if let Some(existing) = inflight.get(&key) {
                 state.metrics.record_coalesced_waiter();
+                existing.wake_on_complete(waker);
                 return Submitted::Wait(Arc::clone(existing));
             }
             // A finished leader publishes to the cache before clearing its
@@ -402,6 +414,7 @@ impl EvolveEngine {
             }
             state.metrics.record_evolve_cache(false);
             let flight = Arc::new(Flight::new());
+            flight.wake_on_complete(waker);
             inflight.insert(key.clone(), Arc::clone(&flight));
             flight
         };
@@ -501,7 +514,8 @@ mod tests {
         let state = fresh_shared_state();
         let engine = EvolveEngine::new(Arc::clone(&state), Some(1), 8);
         let task = || EvolveTask { corpus: default_corpus(&state), request: request(11) };
-        let first = match engine.submit(task()) {
+        let waker = Waker::new().unwrap();
+        let first = match engine.submit(task(), &waker) {
             Submitted::Wait(flight) => {
                 flight.wait_timeout(Duration::from_secs(60)).expect("leader completes")
             }
@@ -510,7 +524,7 @@ mod tests {
         assert_eq!(first.status, 200);
         // Identical request again: the worker published to the cache, so
         // this must be a Ready cache hit with the byte-identical body.
-        match engine.submit(task()) {
+        match engine.submit(task(), &waker) {
             Submitted::Ready(hit) => assert_eq!(hit.body, first.body),
             Submitted::Wait(_) => panic!("finished request must be a cache hit"),
         }
@@ -524,6 +538,31 @@ mod tests {
             Err(e) => panic!("baseline failed: {e}"),
         };
         assert_eq!(baseline.body, first.body);
+    }
+
+    #[test]
+    fn engine_rings_the_waker_of_leader_and_coalesced_waiters() {
+        use cuisine_exec::readiness::wait;
+        let state = fresh_shared_state();
+        let engine = EvolveEngine::new(Arc::clone(&state), Some(1), 8);
+        let task = || EvolveTask { corpus: default_corpus(&state), request: request(21) };
+        let (leader, coalesced) = (Waker::new().unwrap(), Waker::new().unwrap());
+        let Submitted::Wait(first) = engine.submit(task(), &leader) else {
+            panic!("uncached request must wait");
+        };
+        let second = engine.submit(task(), &coalesced);
+        let mut set = [leader.poll_fd()];
+        assert_eq!(wait(&mut set, Some(Duration::from_secs(60))).unwrap(), 1);
+        let body = first.try_get().expect("rung only after completion").body;
+        match second {
+            Submitted::Wait(flight) => {
+                let mut set = [coalesced.poll_fd()];
+                assert_eq!(wait(&mut set, Some(Duration::from_secs(5))).unwrap(), 1);
+                assert_eq!(flight.try_get().map(|r| r.body), Some(body));
+            }
+            // The leader finished before the second submit: a cache hit.
+            Submitted::Ready(hit) => assert_eq!(hit.body, body),
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (for percentile estimates without storing samples), cache hit/miss
 //! counts, and shed (`503`) counts. Gauges that belong to the server —
 //! worker count and live pool depth — are published into [`Gauges`] by the
-//! accept loop so the metrics endpoint never needs a handle on the pool
-//! itself.
+//! server (the connection shard, just before it routes `GET /metrics`) so
+//! the metrics endpoint never needs a handle on the pool itself.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -29,7 +29,7 @@ pub struct Gauges {
     /// Currently open client connections across all shards.
     pub connections: AtomicUsize,
     /// Handler panics contained by the evolve and registry worker pools
-    /// (published by the accept loop from the pools' own counters).
+    /// (published by the connection shard from the pools' own counters).
     pub worker_panics: AtomicU64,
 }
 

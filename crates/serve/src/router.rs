@@ -216,10 +216,10 @@ fn dispatch(state: &AppState, request: &Request) -> Result<Response, HttpError> 
         (Method::Get, "/healthz") => Ok(healthz(state)),
         (Method::Get, "/metrics") => {
             let registry = state.registry.stats();
-            // The accept loop publishes engine + registry pool panics; the
-            // embedded/test path (no server) still surfaces the registry's
-            // own counter here. `fetch_max` so neither writer clobbers the
-            // other's larger total.
+            // The serving shard publishes engine + registry pool panics
+            // just before routing here; the embedded/test path (no server)
+            // still surfaces the registry's own counter here. `fetch_max`
+            // so neither writer clobbers the other's larger total.
             state
                 .gauges
                 .worker_panics
@@ -268,7 +268,7 @@ fn dispatch(state: &AppState, request: &Request) -> Result<Response, HttpError> 
 }
 
 /// Trim a redundant trailing slash (`/table1/` → `/table1`).
-fn normalized(path: &str) -> &str {
+pub(crate) fn normalized(path: &str) -> &str {
     if path.len() > 1 { path.trim_end_matches('/') } else { path }
 }
 

@@ -4,32 +4,58 @@
 //! Architecture (DESIGN.md §7):
 //!
 //! ```text
-//! acceptor ──round-robin try_send──▶ shard 0..N event loops (cuisine-exec
-//!    │        all queues full: 503        │                 service threads)
-//!    ▼                                    │ per connection:
-//! stop flag                               │   FrameReader → route_conn
-//!                                         │     Ready  → append response
-//!                                         │     Evolve → EvolveEngine.submit
-//!                                         ▼              (Flight polled here)
+//! acceptor ──round-robin try_send + wake──▶ shard 0..N event loops
+//!  poll: listener,    all queues full: 503     │  poll: waker + one entry
+//!        stop waker                            │        per connection
+//!                                              │ per connection:
+//!                                              │   FrameReader → route_conn
+//!                                              │     Ready  → append response
+//!                                              │     Evolve → EvolveEngine.submit
+//!                                              ▼       (flight rings the waker)
 //!                              AppState: snapshots / LRU / evolve cache / metrics
 //! ```
 //!
 //! * **Acceptor.** One non-blocking listener thread distributes accepted
-//!   sockets round-robin over bounded per-shard queues (the portable
-//!   stand-in for `SO_REUSEPORT` sharding — `std::net` cannot set socket
-//!   options before bind). When every queue is full the connection is
-//!   answered `503` inline: load is shed explicitly, never buffered
-//!   unboundedly.
+//!   sockets round-robin over bounded per-shard queues and wakes the
+//!   target shard after each hand-off. Round-robin is kept over
+//!   `SO_REUSEPORT` sharding on purpose: `std::net` cannot set socket
+//!   options before bind, and the kernel's hash may put both of two
+//!   connections on one shard while round-robin gives one to each. When
+//!   every queue is full the connection is answered `503` inline: load is
+//!   shed explicitly, never buffered unboundedly. The acceptor blocks in
+//!   `poll(2)` on the listener and its stop [`Waker`]; a failing `accept`
+//!   (e.g. `EMFILE` with the listener still readable) backs off for
+//!   [`ERROR_BACKOFF`] instead of spinning.
 //! * **Shards.** Each shard owns its connections outright — no cross-shard
-//!   locking — and runs a small event loop over non-blocking sockets:
-//!   flush pending output, poll any in-flight `/evolve` [`Flight`], read
-//!   fresh bytes into the per-connection [`FrameReader`], answer every
-//!   complete frame, sweep timeouts. Keep-alive and pipelining fall out of
-//!   the framer: a connection serves requests until it asks to close
+//!   locking — and runs an event loop over non-blocking sockets: flush
+//!   pending output, poll any in-flight `/evolve` [`Flight`], read fresh
+//!   bytes into the per-connection [`FrameReader`], answer every complete
+//!   frame, sweep timeouts. Keep-alive and pipelining fall out of the
+//!   framer: a connection serves requests until it asks to close
 //!   (`Connection: close`, HTTP/1.0), errors, or goes idle past
 //!   [`ServerConfig::idle_timeout`]. Responses are appended to one
 //!   reusable write buffer in request order, so pipelined responses can
 //!   never reorder.
+//! * **Readiness, not sleep-polling.** A pass that moves nothing ends in
+//!   [`readiness::wait`] over the shard's poll set: its [`Waker`] plus one
+//!   entry per connection. A connection asks for `POLLIN` only when the
+//!   pass would read it (not parked on a flight, not closing or
+//!   peer-closed, framer healthy, input below the high-water mark) and for
+//!   `POLLOUT` only while output is pending; with neither it is left out
+//!   of the set (fd `-1`), so a hung-up parked connection cannot make a
+//!   level-triggered `poll` spin. The timeout is [`next_wake`]: the
+//!   nearest idle, read or write timeout, mid-frame budget, parked
+//!   `/evolve` budget, or drain deadline.
+//! * **Wake-ups.** Three producers ring a shard's waker, each *after*
+//!   publishing what it announces: the acceptor (after `try_send`), a
+//!   finished `/evolve` [`Flight`] (the shard registered the waker with
+//!   [`EvolveEngine::submit`]), and [`Server::shutdown`] (after setting
+//!   the stop flag and joining the acceptor). The shard drains the waker
+//!   right after `poll` returns and before its next pass re-checks the
+//!   queue, the flights and the stop flag. So a wake either precedes the
+//!   drain — and the pass that follows sees the state — or lands after
+//!   it and leaves a byte that ends the next `poll` at once. No wake-up
+//!   is lost, and none is needed for timers: `poll`'s timeout covers them.
 //! * **`/evolve` off the event loop.** Ensemble computations run on the
 //!   [`EvolveEngine`]'s worker pool; the shard parks the *connection* (not
 //!   the thread) on the returned [`Flight`] and keeps serving its other
@@ -41,6 +67,9 @@
 //!   deadline as a backstop. The engine (and its worker pool) is dropped
 //!   only after every shard has joined, so no flight is ever abandoned.
 //!
+//! The only timed waits left are the `conn.*` fault hook's injected delay
+//! and [`ERROR_BACKOFF`] after a failed `accept` or `poll`.
+//!
 //! Determinism: shards never touch response bytes — they move
 //! [`Response`] values produced by the same router/snapshot/evolve paths
 //! the blocking server used, so shard count, keep-alive, and coalescing
@@ -48,18 +77,21 @@
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::raw::c_short;
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cuisine_exec::readiness::{self, PollFd, Waker, POLLIN, POLLOUT};
 use cuisine_exec::{spawn_service, FaultAction, Faults, Flight};
 
 use crate::deadline::{budget_ms, remaining_ms, timeout_response, DeadlineConfig};
 use crate::evolve::{EvolveEngine, Submitted};
-use crate::http::{Frame, FrameReader, Response};
-use crate::router::{route_conn, AppState, Routed};
+use crate::http::{Frame, FrameReader, Method, Request, Response};
+use crate::router::{normalized, route_conn, AppState, Routed};
 
 /// Per-connection write-buffer high-water mark: frame processing pauses
 /// while this much output is unflushed (a slow reader must not balloon
@@ -73,6 +105,10 @@ const SHARD_QUEUE: usize = 64;
 /// Hard backstop for graceful drain: connections still open this long
 /// after shutdown began are force-closed.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
+/// Pause after a failed `accept` or `poll`, so a persistent error (a
+/// listener that stays readable while the process is out of descriptors)
+/// cannot turn the loop into a spin.
+const ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -138,6 +174,8 @@ pub struct Server {
     addr: SocketAddr,
     state: Arc<AppState>,
     stop: Arc<AtomicBool>,
+    accept_waker: Waker,
+    shard_wakers: Vec<Waker>,
     accept_thread: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
     engine: Option<Arc<EvolveEngine>>,
@@ -149,6 +187,14 @@ struct ShardCtx {
     engine: Arc<EvolveEngine>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
+    /// Rung by the acceptor, by finished flights and by shutdown.
+    waker: Waker,
+}
+
+/// The acceptor's handle on one shard.
+struct ShardInbox {
+    tx: SyncSender<TcpStream>,
+    waker: Waker,
 }
 
 impl Server {
@@ -162,7 +208,6 @@ impl Server {
         // The server config is the one source of deadline truth once a
         // server fronts the state.
         let state = Arc::new(state.with_deadline(config.deadline));
-        let stop = Arc::new(AtomicBool::new(false));
         let engine = Arc::new(EvolveEngine::new(
             Arc::clone(&state),
             config.threads,
@@ -170,42 +215,48 @@ impl Server {
         ));
         state.gauges.workers.store(engine.workers(), Ordering::Relaxed);
 
+        // Built up in place so an error part-way shuts down (through
+        // `Drop`) whatever was already spawned. `inboxes` is declared
+        // after it and so dropped first: the shards see their queues
+        // disconnect before the drop wakes and joins them.
+        let mut server = Server {
+            addr,
+            state,
+            stop: Arc::new(AtomicBool::new(false)),
+            accept_waker: Waker::new()?,
+            shard_wakers: Vec::new(),
+            accept_thread: None,
+            shard_threads: Vec::new(),
+            engine: Some(Arc::clone(&engine)),
+        };
+        let mut inboxes = Vec::new();
         let shard_count = cuisine_exec::resolve_threads(config.shards, usize::MAX);
-        let mut shard_txs = Vec::with_capacity(shard_count);
-        let mut shard_threads = Vec::with_capacity(shard_count);
         for shard in 0..shard_count {
             let (tx, rx) = sync_channel::<TcpStream>(SHARD_QUEUE);
-            shard_txs.push(tx);
+            let waker = Waker::new()?;
+            inboxes.push(ShardInbox { tx, waker: waker.clone() });
+            server.shard_wakers.push(waker.clone());
             let ctx = ShardCtx {
-                state: Arc::clone(&state),
+                state: Arc::clone(&server.state),
                 engine: Arc::clone(&engine),
                 config: config.clone(),
-                stop: Arc::clone(&stop),
+                stop: Arc::clone(&server.stop),
+                waker,
             };
-            shard_threads
+            server
+                .shard_threads
                 .push(spawn_service(&format!("serve-shard-{shard}"), move || {
                     shard_loop(&rx, &ctx);
                 })?);
         }
 
-        let accept_thread = {
-            let state = Arc::clone(&state);
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            let config = config.clone();
-            spawn_service("serve-accept", move || {
-                accept_loop(&listener, &shard_txs, &state, &engine, &stop, &config);
-            })?
-        };
-
-        Ok(Server {
-            addr,
-            state,
-            stop,
-            accept_thread: Some(accept_thread),
-            shard_threads,
-            engine: Some(engine),
-        })
+        let state = Arc::clone(&server.state);
+        let stop = Arc::clone(&server.stop);
+        let waker = server.accept_waker.clone();
+        server.accept_thread = Some(spawn_service("serve-accept", move || {
+            accept_loop(&listener, &inboxes, &state, &waker, &stop, &config);
+        })?);
+        Ok(server)
     }
 
     /// The bound address (resolves `port: 0`).
@@ -230,9 +281,14 @@ impl Server {
         // Order matters: the acceptor exits first and drops the shard
         // queues; shards then drain their connections (evolve flights are
         // completed by the still-live engine workers) and join; only then
-        // may the engine — and its worker pool — wind down.
+        // may the engine — and its worker pool — wind down. Each wake
+        // follows the state change it announces.
+        self.accept_waker.wake();
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
+        }
+        for waker in &self.shard_wakers {
+            waker.wake();
         }
         for handle in self.shard_threads.drain(..) {
             let _ = handle.join();
@@ -249,17 +305,17 @@ impl Drop for Server {
 
 fn accept_loop(
     listener: &TcpListener,
-    shard_txs: &[SyncSender<TcpStream>],
-    state: &Arc<AppState>,
-    engine: &Arc<EvolveEngine>,
+    shards: &[ShardInbox],
+    state: &AppState,
+    waker: &Waker,
     stop: &AtomicBool,
     config: &ServerConfig,
 ) {
     let mut round_robin = 0usize;
+    let mut poll_set = [PollFd::new(listener.as_raw_fd(), POLLIN), waker.poll_fd()];
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                publish_gauges(state, engine);
                 if stream.set_nonblocking(true).is_err() {
                     continue; // peer vanished between accept and setup
                 }
@@ -268,15 +324,16 @@ fn accept_loop(
                 // every queue is full the server is genuinely saturated
                 // and the connection is shed with an inline 503.
                 let mut pending = Some(stream);
-                for probe in 0..shard_txs.len() {
-                    let index = (round_robin + probe) % shard_txs.len().max(1);
-                    let (Some(tx), Some(stream)) = (shard_txs.get(index), pending.take())
+                for probe in 0..shards.len() {
+                    let index = (round_robin + probe) % shards.len().max(1);
+                    let (Some(shard), Some(stream)) = (shards.get(index), pending.take())
                     else {
                         break;
                     };
-                    match tx.try_send(stream) {
+                    match shard.tx.try_send(stream) {
                         Ok(()) => {
-                            round_robin = (index + 1) % shard_txs.len().max(1);
+                            shard.waker.wake();
+                            round_robin = (index + 1) % shards.len().max(1);
                             break;
                         }
                         Err(TrySendError::Full(stream))
@@ -289,26 +346,35 @@ fn accept_loop(
                     shed(state, stream, config);
                 }
             }
+            // Backlog empty: sleep until a connection arrives or shutdown
+            // rings the stop waker.
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                publish_gauges(state, engine);
-                std::thread::sleep(Duration::from_millis(1));
+                match readiness::wait(&mut poll_set, None) {
+                    Ok(_) if poll_set.get(1).is_some_and(PollFd::readable) => waker.drain(),
+                    Ok(_) => {}
+                    Err(_) => std::thread::sleep(ERROR_BACKOFF),
+                }
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(_) => std::thread::sleep(ERROR_BACKOFF),
         }
     }
     // Fall through: the shard senders drop here, which is the shards'
     // signal to drain and exit.
 }
 
-/// Publish the gauges only the accept thread can cheaply aggregate: evolve
-/// pool depth and contained worker panics (evolve + registry builder
-/// pools).
+/// Publish the gauges that live in the engine and registry pools: evolve
+/// pool depth and contained worker panics. Called just before a
+/// `GET /metrics` is routed, so the document always reads fresh values.
 fn publish_gauges(state: &AppState, engine: &EvolveEngine) {
     state.gauges.pool_depth.store(engine.depth(), Ordering::Relaxed);
     state.gauges.worker_panics.store(
         engine.worker_panics() + state.registry.worker_panics(),
         Ordering::Relaxed,
     );
+}
+
+fn is_metrics(request: &Request) -> bool {
+    request.method == Method::Get && normalized(&request.path) == "/metrics"
 }
 
 /// Answer `503` inline on the accept thread when every shard queue is
@@ -386,6 +452,7 @@ impl Conn {
 
 fn shard_loop(rx: &Receiver<TcpStream>, ctx: &ShardCtx) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut poll_set: Vec<PollFd> = Vec::new();
     let mut disconnected = false;
     let mut drain_started: Option<Instant> = None;
     loop {
@@ -425,6 +492,9 @@ fn shard_loop(rx: &Receiver<TcpStream>, ctx: &ShardCtx) {
             if !keep {
                 ctx.state.gauges.connections.fetch_sub(1, Ordering::Relaxed);
                 let _ = conn.stream.shutdown(Shutdown::Both);
+                // The freed slot may admit a connection still queued
+                // behind the per-shard cap.
+                progressed = true;
             }
             keep
         });
@@ -433,9 +503,100 @@ fn shard_loop(rx: &Receiver<TcpStream>, ctx: &ShardCtx) {
             return;
         }
         if !progressed {
-            std::thread::sleep(Duration::from_millis(1));
+            wait_ready(&mut poll_set, &conns, ctx, drain_started);
         }
     }
+}
+
+/// Block until a connection in the poll set is ready, the shard's waker
+/// rings, or the nearest timer runs out (module docs: interest rules and
+/// the wake-up protocol).
+fn wait_ready(
+    poll_set: &mut Vec<PollFd>,
+    conns: &[Conn],
+    ctx: &ShardCtx,
+    drain_started: Option<Instant>,
+) {
+    poll_set.clear();
+    poll_set.push(ctx.waker.poll_fd());
+    poll_set.extend(conns.iter().map(|conn| match interest(conn) {
+        0 => PollFd::new(-1, 0), // poll(2) skips negative descriptors
+        events => PollFd::new(conn.stream.as_raw_fd(), events),
+    }));
+    let timeout = next_wake(conns, Instant::now(), &ctx.config, drain_started);
+    match readiness::wait(poll_set, timeout) {
+        Ok(_) => {
+            if poll_set.first().is_some_and(PollFd::readable) {
+                ctx.waker.drain();
+            }
+        }
+        Err(_) => std::thread::sleep(ERROR_BACKOFF),
+    }
+}
+
+/// Whether the next pass reads this connection: [`step_conn`]'s read
+/// gate and the `POLLIN` interest are one predicate, so a readable socket
+/// in the poll set is always consumed (level-triggered `poll` would spin
+/// on one that is not).
+fn wants_read(conn: &Conn) -> bool {
+    conn.waiting.is_none()
+        && !conn.read_closed
+        && !conn.close_after_flush
+        && !conn.framer.is_failed()
+        && conn.framer.buffered() < IN_HIGH_WATER
+}
+
+/// The connection's poll interest: `POLLIN` while [`wants_read`],
+/// `POLLOUT` while output is pending.
+fn interest(conn: &Conn) -> c_short {
+    let mut events = 0;
+    if wants_read(conn) {
+        events |= POLLIN;
+    }
+    if !conn.out_empty() {
+        events |= POLLOUT;
+    }
+    events
+}
+
+/// Time from `now` until the nearest timer of the shard fires, or `None`
+/// when nothing is timed (no connections, not draining). Mirrors the
+/// sweep in [`step_conn`]: a parked `/evolve` runs on its deadline budget
+/// alone; otherwise pending output is bounded by the write timeout, a
+/// partial frame by the read timeout and the mid-frame budget, and an
+/// idle keep-alive connection by the idle timeout. A timer already due
+/// yields `Duration::ZERO`.
+fn next_wake(
+    conns: &[Conn],
+    now: Instant,
+    config: &ServerConfig,
+    drain_started: Option<Instant>,
+) -> Option<Duration> {
+    let drain = drain_started.and_then(|t| t.checked_add(DRAIN_DEADLINE));
+    conns
+        .iter()
+        .filter_map(|conn| conn_timer(conn, config))
+        .chain(drain)
+        .min()
+        .map(|at| at.saturating_duration_since(now))
+}
+
+/// The instant a connection's active timer fires (`None` if it never
+/// can, e.g. a timeout too large to represent).
+fn conn_timer(conn: &Conn, config: &ServerConfig) -> Option<Instant> {
+    if let Some(waiting) = &conn.waiting {
+        return waiting.started.checked_add(Duration::from_millis(waiting.budget_ms));
+    }
+    if !conn.out_empty() {
+        return conn.last_activity.checked_add(config.write_timeout);
+    }
+    if conn.framer.mid_frame() {
+        let quiet = conn.last_activity.checked_add(config.read_timeout);
+        let budget = Duration::from_millis(config.deadline.default_ms);
+        let frame = conn.frame_started.and_then(|t| t.checked_add(budget));
+        return quiet.into_iter().chain(frame).min();
+    }
+    conn.last_activity.checked_add(config.idle_timeout)
 }
 
 /// Advance one connection through its state machine. Returns false when
@@ -478,12 +639,7 @@ fn step_conn(
         }
     }
 
-    if !conn.read_closed
-        && !conn.close_after_flush
-        && !conn.framer.is_failed()
-        && conn.framer.buffered() < IN_HIGH_WATER
-        && !read_in(conn, ctx, now, progressed)
-    {
+    if wants_read(conn) && !read_in(conn, ctx, now, progressed) {
         return false;
     }
 
@@ -668,6 +824,9 @@ fn drain_frames(conn: &mut Conn, ctx: &ShardCtx, progressed: &mut bool) {
                 // shard closes the connection once no frames remain
                 // (step_conn's draining check).
                 let close = framed.close || !ctx.config.keep_alive;
+                if is_metrics(&framed.request) {
+                    publish_gauges(&ctx.state, &ctx.engine);
+                }
                 match route_conn(&ctx.state, &framed.request) {
                     Routed::Ready(response) => {
                         finish_response(conn, ctx, &response, close, started);
@@ -677,7 +836,7 @@ fn drain_frames(conn: &mut Conn, ctx: &ShardCtx, progressed: &mut bool) {
                             framed.request.header("x-deadline-ms"),
                             &ctx.state.deadline,
                         );
-                        match ctx.engine.submit(task) {
+                        match ctx.engine.submit(task, &ctx.waker) {
                             Submitted::Ready(response) => {
                                 finish_response(conn, ctx, &response, close, started);
                             }
@@ -710,5 +869,132 @@ fn finish_response(
     conn.served += 1;
     if close {
         conn.close_after_flush = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// One accepted loopback socket wrapped as a shard connection; the
+    /// client end is returned so the socket stays open.
+    fn conn(now: Instant) -> (Conn, TcpStream) {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (Conn::new(server, now), client)
+    }
+
+    fn config() -> ServerConfig {
+        ServerConfig {
+            read_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(7),
+            idle_timeout: Duration::from_secs(30),
+            deadline: DeadlineConfig { default_ms: 2_000, max_ms: 600_000 },
+            ..ServerConfig::default()
+        }
+    }
+
+    fn wake(conns: &[Conn], now: Instant, drain_started: Option<Instant>) -> Option<Duration> {
+        next_wake(conns, now, &config(), drain_started)
+    }
+
+    #[test]
+    fn nothing_pending_means_no_timeout() {
+        assert_eq!(wake(&[], Instant::now(), None), None);
+    }
+
+    #[test]
+    fn an_idle_keep_alive_connection_wakes_at_the_idle_timeout() {
+        let now = Instant::now();
+        let (idle, _peer) = conn(now);
+        assert_eq!(interest(&idle), POLLIN);
+        assert_eq!(wake(&[idle], now, None), Some(Duration::from_secs(30)));
+    }
+
+    #[test]
+    fn pending_output_wakes_at_the_write_timeout() {
+        let now = Instant::now();
+        let (mut writing, _peer) = conn(now);
+        writing.out.extend_from_slice(b"HTTP/1.1 200 OK\r\n");
+        assert_eq!(interest(&writing), POLLIN | POLLOUT);
+        assert_eq!(wake(&[writing], now, None), Some(Duration::from_secs(7)));
+    }
+
+    #[test]
+    fn a_stalled_partial_frame_wakes_at_the_read_timeout() {
+        let now = Instant::now();
+        let (mut partial, _peer) = conn(now);
+        partial.framer.feed(b"GET /table1 HT");
+        partial.frame_started = Some(now);
+        // With a frame budget longer than the read timeout, silence wins.
+        let config = ServerConfig {
+            deadline: DeadlineConfig { default_ms: 10_000, max_ms: 600_000 },
+            ..config()
+        };
+        assert_eq!(next_wake(&[partial], now, &config, None), Some(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn a_drip_fed_frame_wakes_at_the_mid_frame_budget() {
+        let start = Instant::now();
+        let (mut partial, _peer) = conn(start);
+        partial.framer.feed(b"GET /table1 HT");
+        partial.frame_started = Some(start);
+        // Bytes keep arriving (activity 1.5 s in), so the read timeout is
+        // 6.5 s out; the 2 s frame budget comes first.
+        partial.last_activity = start + Duration::from_millis(1_500);
+        let now = start + Duration::from_millis(1_600);
+        assert_eq!(wake(&[partial], now, None), Some(Duration::from_millis(400)));
+    }
+
+    #[test]
+    fn a_parked_evolve_wakes_at_its_deadline_budget_only() {
+        let start = Instant::now();
+        let (mut parked, _peer) = conn(start);
+        parked.out.extend_from_slice(b"earlier response");
+        parked.waiting = Some(Waiting {
+            flight: Arc::new(Flight::new()),
+            close: false,
+            started: start,
+            budget_ms: 60_000,
+        });
+        // No read interest while parked (responses must keep order) and
+        // the write timeout is suspended; output still asks for POLLOUT.
+        assert_eq!(interest(&parked), POLLOUT);
+        let now = start + Duration::from_secs(10);
+        assert_eq!(wake(&[parked], now, None), Some(Duration::from_secs(50)));
+    }
+
+    #[test]
+    fn draining_wakes_at_the_drain_deadline() {
+        let start = Instant::now();
+        let now = start + Duration::from_secs(12);
+        assert_eq!(wake(&[], now, Some(start)), Some(DRAIN_DEADLINE - Duration::from_secs(12)));
+    }
+
+    #[test]
+    fn the_nearest_timer_wins_and_an_overdue_one_is_zero() {
+        let start = Instant::now();
+        let (idle, _a) = conn(start);
+        let (mut writing, _b) = conn(start);
+        writing.out.push(b'x');
+        let now = start + Duration::from_secs(8);
+        assert_eq!(wake(&[idle, writing], now, Some(start)), Some(Duration::ZERO));
+    }
+
+    #[test]
+    fn a_closing_or_failed_connection_asks_for_no_input() {
+        let now = Instant::now();
+        let (mut closing, _a) = conn(now);
+        closing.close_after_flush = true;
+        assert_eq!(interest(&closing), 0);
+        let (mut half_closed, _b) = conn(now);
+        half_closed.read_closed = true;
+        assert_eq!(interest(&half_closed), 0);
+        let (mut full, _c) = conn(now);
+        full.framer.feed(&vec![b'x'; IN_HIGH_WATER]);
+        assert!(!wants_read(&full));
     }
 }

@@ -245,6 +245,36 @@ fn lost_dispatch_job_becomes_a_504_within_the_deadline_budget() {
 }
 
 #[test]
+fn metrics_on_an_open_connection_count_a_fresh_worker_panic() {
+    // `/metrics` must read the pools' panic counters when it is answered:
+    // no new connection (and so no accept) happens between the panic and
+    // the read below.
+    let server = start_server(ServerConfig { threads: Some(1), ..Default::default() });
+    let addr = server.addr();
+    let mut conn = client::Connection::open(addr, TIMEOUT).expect("connect");
+    let worker_panics = |conn: &mut client::Connection| {
+        let metrics = conn.get("/metrics").expect("/metrics");
+        let doc: serde::Value =
+            serde_json::from_str(std::str::from_utf8(&metrics.body).unwrap()).unwrap();
+        doc.as_object()
+            .and_then(|o| o.get("worker_panics"))
+            .and_then(|v| v.as_u64())
+            .expect("worker_panics in /metrics")
+    };
+    assert_eq!(worker_panics(&mut conn), 0);
+
+    install_faults(addr, "seed=1;pool.dispatch=panic@nth:1");
+    conn.set_deadline_ms(Some(300));
+    let lost = conn
+        .post_json("/evolve", r#"{"cuisine":"ITA","model":"NM","seed":9191,"replicates":1}"#)
+        .expect("a lost job must answer, not hang");
+    assert_eq!(lost.status, 504, "{}", String::from_utf8_lossy(&lost.body));
+    conn.set_deadline_ms(None);
+    assert_eq!(worker_panics(&mut conn), 1, "the panic is counted on the open connection");
+    server.shutdown();
+}
+
+#[test]
 fn same_fault_seed_yields_identical_firing_counts() {
     // Two independent servers, the same plan, the same sequential request
     // sequence: the compute-layer point must fire on exactly the same

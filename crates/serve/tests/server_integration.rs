@@ -14,7 +14,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cuisine_core::{Experiment, PipelineConfig};
 use cuisine_evolution::{EnsembleConfig, EvaluationConfig, ModelKind};
@@ -146,8 +146,8 @@ fn graceful_shutdown_drains_in_flight_requests() {
         })
         .collect();
 
-    // Give every client time to connect and be accepted (the accept loop
-    // polls at millisecond granularity), then shut down mid-flight.
+    // Give every client time to connect and be accepted, then shut down
+    // mid-flight.
     std::thread::sleep(Duration::from_millis(500));
     server.shutdown();
 
@@ -214,4 +214,99 @@ fn healthz_and_metrics_reflect_live_state() {
     assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
 
     server.shutdown();
+}
+
+/// Install a fault plan through the admin API.
+fn install_faults(addr: std::net::SocketAddr, spec: &str) {
+    let body = format!(r#"{{"spec":"{spec}"}}"#);
+    let response = client::post_json(addr, "/admin/faults", &body, TIMEOUT).unwrap();
+    assert_eq!(response.status, 200, "{}", String::from_utf8_lossy(&response.body));
+}
+
+/// Run `server.shutdown()` on a helper thread and return how long it
+/// took, or `None` if it has not returned within `limit` — a lost wake-up
+/// fails the test instead of hanging it.
+fn shutdown_within(server: Server, limit: Duration) -> Option<Duration> {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        server.shutdown();
+        let _ = done.send(started.elapsed());
+    });
+    finished.recv_timeout(limit).ok()
+}
+
+/// The evolve pool's published depth, read from `/metrics` on `conn`.
+fn pool_depth(conn: &mut client::Connection) -> u64 {
+    let metrics = conn.get("/metrics").unwrap();
+    let doc: serde::Value =
+        serde_json::from_str(std::str::from_utf8(&metrics.body).unwrap()).unwrap();
+    doc.as_object()
+        .and_then(|o| o.get("pool"))
+        .and_then(|p| p.as_object())
+        .and_then(|p| p.get("depth"))
+        .and_then(|d| d.as_u64())
+        .expect("pool.depth in /metrics")
+}
+
+#[test]
+fn shutdown_is_prompt_on_an_idle_server_with_an_open_keep_alive_connection() {
+    // Every shard is blocked in poll(2) with only a 30 s idle timer
+    // pending; shutdown must wake them instead of waiting it out.
+    let server = start_server(ServerConfig { shards: Some(2), ..Default::default() });
+    let mut conn = client::Connection::open(server.addr(), TIMEOUT).unwrap();
+    assert_eq!(conn.get("/healthz").unwrap().status, 200);
+    std::thread::sleep(Duration::from_millis(50));
+
+    let elapsed = shutdown_within(server, Duration::from_secs(5)).expect("shutdown returns");
+    assert!(elapsed < Duration::from_secs(1), "idle shutdown took {elapsed:?}");
+    assert!(conn.get("/healthz").is_err(), "the drained connection is closed");
+}
+
+#[test]
+fn a_parked_evolve_is_answered_at_its_compute_time_not_its_deadline() {
+    // The shard parks the connection with a 60 s budget as its only
+    // timer: the finished flight's wake-up, not the timer, must end the
+    // wait.
+    let server = start_server(ServerConfig { threads: Some(1), ..Default::default() });
+    let addr = server.addr();
+    install_faults(addr, "seed=1;evolve.compute=delay:200@always");
+    // The client gives up long before the deadline would answer.
+    let mut conn = client::Connection::open(addr, Duration::from_secs(10)).unwrap();
+    conn.set_deadline_ms(Some(60_000));
+
+    let started = Instant::now();
+    let response = conn
+        .post_json("/evolve", r#"{"cuisine":"ITA","model":"NM","seed":4242,"replicates":1}"#)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(response.status, 200, "{}", String::from_utf8_lossy(&response.body));
+    assert!(elapsed >= Duration::from_millis(200), "the injected delay ran ({elapsed:?})");
+    assert!(elapsed < Duration::from_secs(10), "answered near the deadline ({elapsed:?})");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_with_a_parked_evolve_returns_once_the_flight_lands() {
+    let server = start_server(ServerConfig { threads: Some(1), ..Default::default() });
+    let addr = server.addr();
+    install_faults(addr, "seed=1;evolve.compute=delay:300@always");
+    let mut parked = client::Connection::open(addr, TIMEOUT).unwrap();
+    parked
+        .send("/evolve", Some(br#"{"cuisine":"ITA","model":"NM","seed":4343,"replicates":1}"#))
+        .unwrap();
+    // Wait until the computation is on the pool, so shutdown lands while
+    // the connection is parked on its flight.
+    let mut probe = client::Connection::open(addr, TIMEOUT).unwrap();
+    let waited = Instant::now();
+    while pool_depth(&mut probe) == 0 {
+        assert!(waited.elapsed() < TIMEOUT, "the evolve job never reached the pool");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Compute time plus slack; a lost wake-up would sit out the 30 s
+    // default deadline or the drain backstop.
+    shutdown_within(server, Duration::from_secs(5)).expect("shutdown returns once the flight lands");
+    let response = parked.recv().expect("a parked request is drained, not dropped");
+    assert_eq!(response.status, 200, "{}", String::from_utf8_lossy(&response.body));
 }
